@@ -2,8 +2,9 @@
 
 Jobs mirror the test fixture's configuration (shuffle partitions, Arrow,
 broadcast joins disabled) so job runs and test runs exercise the same
-plans. Under spark-submit the master/memory come from the submit command
-line; run standalone, local[*] defaults apply.
+plans; the console progress bar is off so job logs stay readable. Under
+spark-submit the master/memory come from the submit command line; run
+standalone, local[*] defaults apply.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ def get_spark(app: str) -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")

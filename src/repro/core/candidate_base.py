@@ -5,8 +5,10 @@ running (sum, count) of its local mention embeddings — so the pooled
 global embedding "can be incrementally updated by adding local
 embeddings into the pool as and when new mentions arrive" — plus the
 latest classifier verdict. This is the driver-side state advanced by
-the Structured Streaming job's ``foreachBatch``; its pooled means are
-asserted equal to the batch ``groupBy`` aggregation in tests.
+the Structured Streaming job's ``foreachBatch``, which adds each
+micro-batch's per-key partial sums from ``mine_and_pool``; its pooled
+means are asserted equal to the reference ``groupBy`` aggregation in
+tests.
 """
 from __future__ import annotations
 
@@ -53,13 +55,15 @@ class CandidateBase:
     def keys(self) -> list:
         return sorted(self._records)
 
-    def add_mention(self, key: str, emb: np.ndarray) -> CandidateRecord:
+    def add_mention(self, key: str, emb: np.ndarray, n: int = 1) -> CandidateRecord:
+        """Add ``n`` mentions of ``key`` whose local embeddings sum to
+        ``emb`` (one mention's embedding when ``n`` is 1)."""
         rec = self._records.get(key)
         if rec is None:
             rec = CandidateRecord(key, np.zeros(self.d_emb, dtype=np.float64))
             self._records[key] = rec
         rec.emb_sum += emb
-        rec.n_mentions += 1
+        rec.n_mentions += n
         return rec
 
     def classify_all(self, classifier: EntityClassifier) -> None:

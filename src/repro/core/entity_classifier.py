@@ -102,7 +102,7 @@ class EntityClassifier:
 
     def scores(self, embs: np.ndarray, keys: list) -> np.ndarray:
         """Sigmoid entity-likelihood per candidate."""
-        return self.model.forward(self._features(embs, keys)).ravel()
+        return self.model.predict(self._features(embs, keys)).ravel()
 
     @staticmethod
     def bucket(p: float) -> str:

@@ -1,13 +1,17 @@
-"""Global candidate embeddings (Section V-C): pooling local embeddings.
+"""Global candidate embeddings (Section V-C): reference pooling.
 
 A candidate's global embedding is the mean of the local embeddings of
 all its mentions found in the stream — "it aggregates all contextual
-possibilities in which a candidate appears". Expressed as Spark
-dataflow: ``groupBy(key)`` + per-group vector mean via ``applyInPandas``
-(the candidate table is small; each group holds that candidate's
-mention vectors). The same quantity is maintained *incrementally* in
-streaming mode as a running (sum, count) pair — see
-``repro.core.candidate_base``.
+possibilities in which a candidate appears".
+
+The pipeline computes it in one pass: ``mine_and_pool``
+(``repro.core.mention_extraction``) keeps a running (sum, count) per
+candidate in each partition and the driver adds the partials, the same
+representation ``repro.core.candidate_base`` advances per micro-batch
+in streaming mode. This module keeps the two-pass form as the reference
+that tests and the benchmark's traced replay compare against:
+``groupBy(key)`` + a per-group vector mean via ``applyInPandas`` over
+the mention rows of ``collect_local_embeddings``.
 """
 from __future__ import annotations
 

@@ -23,8 +23,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.ctrie import CTrie
 from repro.core.entity_classifier import EntityClassifier, LABEL_ENTITY
-from repro.core.global_embedding import global_embeddings
-from repro.core.mention_extraction import collect_local_embeddings, extract_mentions
+from repro.core.mention_extraction import extract_mentions, mine_and_pool
 from repro.core.phrase_embedder import (
     PhraseEmbedder,
     pooled_sentence_embeddings,
@@ -117,24 +116,18 @@ class EMDGlobalizer:
                 local_seconds, time.perf_counter() - t1,
             )
         ctrie = CTrie(seeds)
-        mined_df = extract_mentions(spark, tweets_df, ctrie)
         if ablation == "mining":
-            mined = mined_df.toPandas()
+            mined = extract_mentions(spark, tweets_df, ctrie).toPandas()
             return GlobalizerResult(
                 local, mined, mined,
                 pd.DataFrame(columns=["key", "n_mentions", "score", "label"]),
                 local_seconds, time.perf_counter() - t1,
             )
-        local_embs = collect_local_embeddings(
-            spark, tweets_df, mined_df, v.system, v.phrase_embedder
-        )
-        # stable candidate order (see candidate_table) for reproducibility
-        gstats = global_embeddings(local_embs).toPandas().sort_values("key").reset_index(drop=True)
-        mined = mined_df.toPandas()
+        pool = mine_and_pool(spark, tweets_df, ctrie, v.system, v.phrase_embedder)
+        mined = pool.mentions
+        gstats = pd.DataFrame({"key": pool.keys, "n_mentions": pool.n_mentions})
         if len(gstats):
-            embs = np.stack(gstats["emb"].to_numpy()).astype(np.float32)
-            keys = gstats["key"].tolist()
-            scores = v.classifier.scores(embs, keys)
+            scores = v.classifier.scores(pool.embeddings, pool.keys)
             gstats["score"] = scores
             gstats["label"] = [v.classifier.bucket(float(p)) for p in scores]
         else:
@@ -161,23 +154,17 @@ def candidate_table(
     Entity Classifier: run Local EMD + occurrence mining + pooling on a
     training stream, label each candidate by gold membership.
 
-    Returns ``(embs, keys, labels, n_mentions)``.
+    Returns ``(embs, keys, labels, n_mentions)``, candidates in sorted
+    key order (the classifier's train/val split is positional, so a
+    stable order makes training reproducible); ``embs`` is
+    ``(0, emb_dim)`` when no seed candidate survives.
     """
     local = variant_system.tag(tweets_df).toPandas()
-    seeds = _seed_keys(local)
-    ctrie = CTrie(seeds)
-    mined_df = extract_mentions(spark, tweets_df, ctrie)
-    local_embs = collect_local_embeddings(
-        spark, tweets_df, mined_df, variant_system, phrase_embedder
+    pool = mine_and_pool(
+        spark, tweets_df, CTrie(_seed_keys(local)), variant_system, phrase_embedder
     )
-    # sort: Spark shuffle arrival order is nondeterministic, and the
-    # classifier's train/val split is positional — a stable candidate
-    # order makes training bit-for-bit reproducible
-    gstats = global_embeddings(local_embs).toPandas().sort_values("key").reset_index(drop=True)
-    embs = np.stack(gstats["emb"].to_numpy()).astype(np.float32)
-    keys = gstats["key"].tolist()
-    labels = np.array([1.0 if k in gold_keys else 0.0 for k in keys])
-    return embs, keys, labels, gstats["n_mentions"].to_numpy()
+    labels = np.array([1.0 if k in gold_keys else 0.0 for k in pool.keys])
+    return pool.embeddings, pool.keys, labels, pool.n_mentions
 
 
 def build_variant(

@@ -55,11 +55,18 @@ class Dense:
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         self._z = x @ self.W + self.b
+        return self._activate(self._z)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The forward pass without the backprop cache (inference)."""
+        return self._activate(x @ self.W + self.b)
+
+    def _activate(self, z: np.ndarray) -> np.ndarray:
         if self.act == "relu":
-            return relu(self._z)
+            return relu(z)
         if self.act == "sigmoid":
-            return sigmoid(self._z)
-        return self._z
+            return sigmoid(z)
+        return z
 
     def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (grad_in, dW, db) for the cached forward batch."""
@@ -109,6 +116,12 @@ class MLP:
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` without keeping activations for backprop."""
+        for layer in self.layers:
+            x = layer.predict(x)
         return x
 
     def penultimate(self, x: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ Streaming job over a file source of tweet micro-batches:
 - ``StreamingGlobalizer`` advances the full pipeline inside
   ``foreachBatch``: Local EMD on the new batch, CTrie growth with new
   seed candidates, occurrence mining of the batch against all candidates
-  known so far, incremental CandidateBase (sum, count) pooling, and
-  re-classification — gamma (ambiguous) candidates gain evidence as new
-  mentions arrive, exactly the paper's incremental design;
+  known so far, incremental CandidateBase (sum, count) pooling of the
+  scan's per-key partial sums, and re-classification — gamma
+  (ambiguous) candidates gain evidence as new mentions arrive, exactly
+  the paper's incremental design;
 - ``windowed_mention_counts`` is the declarative windowed
   occurrence-mining view: event-time windows of per-candidate mention
   counts maintained by the engine.
@@ -33,7 +34,7 @@ from pyspark.sql import types as T
 
 from repro.core.candidate_base import CandidateBase
 from repro.core.ctrie import CTrie
-from repro.core.mention_extraction import collect_local_embeddings, extract_mentions
+from repro.core.mention_extraction import mine_and_pool
 from repro.core.pipeline import MAX_CANDIDATE_TOKENS, FittedVariant
 from repro.core.tweetbase import TweetBase
 from repro.streams.generator import TweetDataset
@@ -134,29 +135,28 @@ class StreamingGlobalizer:
                 if 1 <= len(key.split(" ")) <= MAX_CANDIDATE_TOKENS:
                     self.ctrie.insert(key)
             n_new = len(self.ctrie) - before
-            # (3i) scan the batch for mentions of *all* known candidates
             if len(self.ctrie) == 0:
                 mentions = local.iloc[0:0]
                 out = BatchOutput(batch_id, n_tweets, 0, mentions)
                 self.outputs.append(out)
                 return out
-            mined_df = extract_mentions(spark, batch_df, self.ctrie)
-            # (3ii) local candidate embeddings for each mention found
-            embs = collect_local_embeddings(
-                spark, batch_df, mined_df, v.system, v.phrase_embedder
-            ).toPandas()
+            # (3i) scan the batch for mentions of *all* known candidates,
+            # (3ii) embed each one, summing the embeddings per key
+            pool = mine_and_pool(
+                spark, batch_df, self.ctrie, v.system, v.phrase_embedder
+            )
             # (3iii) incremental global pooling in the CandidateBase
-            for r in embs.itertuples():
-                self.candidate_base.add_mention(
-                    r.key, np.asarray(r.emb, dtype=np.float64)
-                )
+            for key, n, emb_sum in zip(pool.keys, pool.n_mentions, pool.emb_sum):
+                self.candidate_base.add_mention(key, emb_sum, int(n))
+            mined = pool.mentions
+            for r in mined.itertuples():
                 self.tweet_base.record_mention(
                     r.tweet_id, r.sent_id, r.start, r.length, r.key
                 )
             # (3iv) re-classify every candidate on its updated pool
             self.candidate_base.classify_all(v.classifier)
             entity_keys = self.candidate_base.entity_keys()
-            mentions = embs[embs["key"].isin(entity_keys)][
+            mentions = mined[mined["key"].isin(entity_keys)][
                 ["tweet_id", "sent_id", "start", "length", "key", "surface"]
             ].reset_index(drop=True)
         finally:

@@ -24,6 +24,16 @@ class TestCandidateBase:
             cb.add_mention("k", v)
         assert np.allclose(cb.get("k").global_embedding, vecs.mean(axis=0), atol=1e-6)
 
+    def test_add_partial_sum_equals_per_mention_adds(self):
+        vecs = np.random.default_rng(3).normal(size=(5, 4))
+        one_by_one, partial = CandidateBase(4), CandidateBase(4)
+        for v in vecs:
+            one_by_one.add_mention("k", v)
+        partial.add_mention("k", vecs[:2].sum(axis=0), 2)
+        partial.add_mention("k", vecs[2:].sum(axis=0), 3)
+        assert partial.get("k").n_mentions == 5
+        assert np.allclose(partial.get("k").emb_sum, one_by_one.get("k").emb_sum)
+
     def test_contains_and_len(self):
         cb = CandidateBase(2)
         assert "a" not in cb and len(cb) == 0

@@ -87,6 +87,13 @@ class TestMLP:
         out = m.forward(np.zeros((5, 4)))
         assert out.shape == (5, 2)
 
+    def test_predict_equals_forward_without_cache(self):
+        m = MLP.build([4, 8, 3, 1], ["relu", "linear", "sigmoid"], seed=0)
+        x = np.random.default_rng(0).normal(size=(5, 4))
+        out = m.predict(x)
+        assert all(l._x is None and l._z is None for l in m.layers)
+        assert np.array_equal(out, m.forward(x))
+
     def test_penultimate_is_last_hidden(self):
         m = MLP.build([4, 8, 2], ["relu", "sigmoid"], seed=0)
         x = np.random.default_rng(0).normal(size=(5, 4))

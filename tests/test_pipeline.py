@@ -156,6 +156,22 @@ class TestCandidateTable:
             assert y == (1.0 if k in gold_keys else 0.0)
         assert 0 < labels.sum() < len(labels)
 
+    def test_no_seed_candidates_gives_empty_table(self, spark):
+        """A Local EMD run that finds nothing leaves no candidate to
+        pool: the table is empty, at the variant's embedding width."""
+        from repro.local_emd.np_chunker import NPChunker
+
+        class SilentChunker(NPChunker):
+            def tag_sentence(self, tokens, tweet_id, sent_id):
+                return []
+
+        ds = gen.generate("d1", scale=0.02)
+        embs, keys, labels, n = candidate_table(
+            spark, SilentChunker(), None, ds.to_spark(spark), set(ds.gold["key"])
+        )
+        assert embs.shape == (0, 6)
+        assert keys == [] and len(labels) == 0 and len(n) == 0
+
 
 class TestNonDeepVariant:
     def test_chunker_variant_boosts_f1(self, spark, chunker_variant):
